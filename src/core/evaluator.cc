@@ -15,26 +15,12 @@ std::string MetricSet::ToString() const {
       static_cast<long long>(num_examples));
 }
 
-std::vector<float> Evaluator::BuildPhiCache(const BprModel& model) {
-  const int d = model.dim();
-  const int n = model.catalog().num_items();
-  std::vector<float> cache(static_cast<size_t>(n) * d);
-  for (data::ItemIndex i = 0; i < n; ++i) {
-    model.ItemRepresentation(i, cache.data() + static_cast<size_t>(i) * d);
-  }
-  return cache;
-}
-
-double Evaluator::EstimateRank(const BprModel& model,
-                               const std::vector<float>& phi_cache,
-                               const TrainingData& train,
+double Evaluator::EstimateRank(const PhiTable& phi, const TrainingData& train,
                                data::UserIndex user, const float* user_vec,
                                data::ItemIndex target, const Options& options,
                                Rng* rng) {
-  const int d = model.dim();
-  const int n = model.catalog().num_items();
-  const double target_score = model.ScoreWithPhi(
-      user_vec, phi_cache.data() + static_cast<size_t>(target) * d);
+  const int n = phi.num_items();
+  const double target_score = phi.Score(user_vec, target);
 
   const bool sampled = options.item_sample_fraction < 1.0;
   int64_t higher = 0;
@@ -44,9 +30,7 @@ double Evaluator::EstimateRank(const BprModel& model,
     if (options.exclude_seen && train.Seen(user, j)) continue;
     if (sampled && !rng->Bernoulli(options.item_sample_fraction)) continue;
     ++considered;
-    double score = model.ScoreWithPhi(
-        user_vec, phi_cache.data() + static_cast<size_t>(j) * d);
-    if (score > target_score) ++higher;
+    if (phi.Score(user_vec, j) > target_score) ++higher;
   }
   if (!sampled) return 1.0 + higher;
   if (considered == 0) return 1.0;
@@ -62,7 +46,7 @@ MetricSet Evaluator::Evaluate(const BprModel& model,
   if (holdout.empty()) return metrics;
 
   Rng rng(options.seed);
-  std::vector<float> phi_cache = BuildPhiCache(model);
+  const PhiTable phi(model);
   std::vector<float> user_vec(model.dim());
   const int n = model.catalog().num_items();
 
@@ -70,9 +54,8 @@ MetricSet Evaluator::Evaluate(const BprModel& model,
     Context context =
         train.FullContext(example.user, model.params().context_window);
     model.UserEmbedding(context, user_vec.data());
-    double rank = EstimateRank(model, phi_cache, train, example.user,
-                               user_vec.data(), example.held_out, options,
-                               &rng);
+    double rank = EstimateRank(phi, train, example.user, user_vec.data(),
+                               example.held_out, options, &rng);
     ++metrics.num_examples;
     metrics.mean_rank += rank;
     if (rank <= options.k) {

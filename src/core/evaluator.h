@@ -45,18 +45,13 @@ class Evaluator {
                             const std::vector<data::HoldoutExample>& holdout,
                             const Options& options);
 
-  // Rank of `target` for the given user vector: 1 + #distractors scoring
-  // strictly higher. With sampling, the rank is estimated by scaling the
-  // sampled higher-count by 1/fraction. `phi_cache` must hold
-  // num_items*dim precomputed item representations.
-  static double EstimateRank(const BprModel& model,
-                             const std::vector<float>& phi_cache,
-                             const TrainingData& train, data::UserIndex user,
-                             const float* user_vec, data::ItemIndex target,
-                             const Options& options, Rng* rng);
-
-  // Precomputes phi for all items into a flat num_items*dim array.
-  static std::vector<float> BuildPhiCache(const BprModel& model);
+  // Rank of `target` for the given user vector among the items of `phi`:
+  // 1 + #distractors scoring strictly higher. With sampling, the rank is
+  // estimated by scaling the sampled higher-count by 1/fraction.
+  static double EstimateRank(const PhiTable& phi, const TrainingData& train,
+                             data::UserIndex user, const float* user_vec,
+                             data::ItemIndex target, const Options& options,
+                             Rng* rng);
 };
 
 }  // namespace sigmund::core

@@ -77,16 +77,22 @@ InferenceEngine::InferenceEngine(const BprModel* model,
   SIGCHECK(selector != nullptr);
 }
 
+const PhiTable& InferenceEngine::phi() const {
+  std::call_once(phi_once_, [this] { phi_ = PhiTable(*model_); });
+  return phi_;
+}
+
 std::vector<ScoredItem> InferenceEngine::RankCandidates(
     const Context& context, const std::vector<data::ItemIndex>& candidates,
     int top_k) const {
+  const PhiTable& table = phi();
   std::vector<float> user_vec(model_->dim());
   model_->UserEmbedding(context, user_vec.data());
 
   std::vector<ScoredItem> scored;
   scored.reserve(candidates.size());
   for (data::ItemIndex item : candidates) {
-    scored.push_back(ScoredItem{item, model_->Score(user_vec.data(), item)});
+    scored.push_back(ScoredItem{item, table.Score(user_vec.data(), item)});
   }
   const size_t keep = std::min<size_t>(top_k, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),

@@ -1,6 +1,7 @@
 #ifndef SIGMUND_CORE_INFERENCE_H_
 #define SIGMUND_CORE_INFERENCE_H_
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,9 @@ class InferenceEngine {
     bool materialize_late_funnel = false;
   };
 
-  // Pointers are borrowed and must outlive the engine.
+  // Pointers are borrowed and must outlive the engine. Candidates are
+  // scored against a PhiTable of the model taken on first use, so the
+  // model must be fully trained before the first ranking call.
   InferenceEngine(const BprModel* model, const CandidateSelector* selector);
 
   // Ranks `candidates` for an arbitrary user context, highest score first.
@@ -76,8 +79,13 @@ class InferenceEngine {
   const BprModel& model() const { return *model_; }
 
  private:
+  // The model's PhiTable, built once on first use (thread-safe).
+  const PhiTable& phi() const;
+
   const BprModel* model_;
   const CandidateSelector* selector_;
+  mutable std::once_flag phi_once_;
+  mutable PhiTable phi_;
 };
 
 }  // namespace sigmund::core

@@ -1,5 +1,6 @@
 #include "core/model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -49,7 +50,37 @@ bool ReadFloats(const std::string& in, size_t* offset,
   return true;
 }
 
+// x_ui = <u, phi(i)>, accumulated in double.
+double Dot(const float* user_vec, const float* phi, int dim) {
+  double sum = 0.0;
+  for (int k = 0; k < dim; ++k) {
+    sum += static_cast<double>(user_vec[k]) * phi[k];
+  }
+  return sum;
+}
+
 }  // namespace
+
+void ComputeContextWeights(double decay, int n, float* out) {
+  double total = 0.0;
+  for (int j = 0; j < n; ++j) {
+    const double w = std::pow(decay, n - 1 - j);
+    out[j] = static_cast<float>(w);
+    total += w;
+  }
+  if (total > 0.0) {
+    for (int j = 0; j < n; ++j) out[j] = static_cast<float>(out[j] / total);
+  }
+}
+
+ContextWeightTable::ContextWeightTable(double decay, int window)
+    : decay_(decay),
+      tabulated_(std::clamp(window, 0, kMaxTabulated)),
+      weights_(static_cast<size_t>(tabulated_ * (tabulated_ + 1) / 2)) {
+  for (int n = 1; n <= tabulated_; ++n) {
+    ComputeContextWeights(decay, n, weights_.data() + n * (n - 1) / 2);
+  }
+}
 
 void EmbeddingMatrix::Resize(int rows, int dim) {
   SIGCHECK_GE(rows, 0);
@@ -86,7 +117,9 @@ void EmbeddingMatrix::ResetAdagrad() {
 }
 
 BprModel::BprModel(const data::Catalog* catalog, const HyperParams& params)
-    : catalog_(catalog), params_(params) {
+    : catalog_(catalog),
+      params_(params),
+      context_weights_(params.context_decay, params.context_window) {
   SIGCHECK(catalog != nullptr);
   SIGCHECK_GT(params.num_factors, 0);
   const int dim = params.num_factors;
@@ -96,6 +129,36 @@ BprModel::BprModel(const data::Catalog* catalog, const HyperParams& params)
       params.use_taxonomy ? catalog->taxonomy().num_categories() : 0, dim);
   brand_emb_.Resize(params.use_brand ? catalog->num_brands() : 0, dim);
   price_emb_.Resize(params.use_price ? data::kDefaultPriceBuckets : 0, dim);
+  BuildFeatureRows();
+}
+
+void BprModel::BuildFeatureRows() {
+  const int n = item_emb_.rows();
+  feature_offsets_.assign(1, 0);
+  feature_offsets_.reserve(n + 1);
+  feature_rows_.clear();
+  for (data::ItemIndex i = 0; i < n; ++i) {
+    feature_rows_.push_back({FeatureTable::kItem, i});
+    const data::Item& item = catalog_->item(i);
+    if (params_.use_taxonomy && taxonomy_emb_.rows() > 0) {
+      data::CategoryId c = item.category;
+      for (;;) {  // leaf to root; the root is its own parent
+        feature_rows_.push_back({FeatureTable::kTaxonomy, c});
+        if (c == 0) break;
+        c = catalog_->taxonomy().parent(c);
+      }
+    }
+    if (params_.use_brand && item.brand != data::kUnknownBrand &&
+        item.brand < brand_emb_.rows()) {
+      feature_rows_.push_back({FeatureTable::kBrand, item.brand});
+    }
+    if (params_.use_price) {
+      const int bucket =
+          data::PriceBucket(item.price, data::kDefaultPriceBuckets);
+      if (bucket >= 0) feature_rows_.push_back({FeatureTable::kPrice, bucket});
+    }
+    feature_offsets_.push_back(static_cast<int32_t>(feature_rows_.size()));
+  }
 }
 
 void BprModel::InitRandom(Rng* rng) {
@@ -109,44 +172,19 @@ void BprModel::InitRandom(Rng* rng) {
 
 void BprModel::ItemRepresentation(data::ItemIndex i, float* out) const {
   const int d = dim();
+  const std::span<const FeatureRow> rows = FeatureRows(i);
   const float* v = item_emb_.row(i);
   for (int k = 0; k < d; ++k) out[k] = v[k];
-
-  const data::Item& item = catalog_->item(i);
-  if (params_.use_taxonomy && taxonomy_emb_.rows() > 0) {
-    for (data::CategoryId a : catalog_->taxonomy().PathToRoot(item.category)) {
-      const float* t = taxonomy_emb_.row(a);
-      for (int k = 0; k < d; ++k) out[k] += t[k];
-    }
-  }
-  if (params_.use_brand && item.brand != data::kUnknownBrand &&
-      item.brand < brand_emb_.rows()) {
-    const float* b = brand_emb_.row(item.brand);
-    for (int k = 0; k < d; ++k) out[k] += b[k];
-  }
-  if (params_.use_price) {
-    int bucket = data::PriceBucket(item.price, data::kDefaultPriceBuckets);
-    if (bucket >= 0) {
-      const float* p = price_emb_.row(bucket);
-      for (int k = 0; k < d; ++k) out[k] += p[k];
-    }
+  for (const FeatureRow& r : rows.subspan(1)) {
+    const float* f = feature_table(r.table).row(r.row);
+    for (int k = 0; k < d; ++k) out[k] += f[k];
   }
 }
 
 std::vector<float> BprModel::ContextWeights(int n) const {
-  // Geometric decay, newest entry (index n-1) weighted 1 before
-  // normalization.
-  std::vector<float> weights(n);
-  double total = 0.0;
-  for (int j = 0; j < n; ++j) {
-    double w = std::pow(params_.context_decay, n - 1 - j);
-    weights[j] = static_cast<float>(w);
-    total += w;
-  }
-  if (total > 0.0) {
-    for (float& w : weights) w = static_cast<float>(w / total);
-  }
-  return weights;
+  std::vector<float> weights;
+  const float* w = context_weights_.Weights(n, &weights);
+  return std::vector<float>(w, w + n);
 }
 
 void BprModel::UserEmbedding(const Context& context, float* out) const {
@@ -157,7 +195,8 @@ void BprModel::UserEmbedding(const Context& context, float* out) const {
   const int window = params_.context_window;
   const int n = std::min<int>(window, static_cast<int>(context.size()));
   const int start = static_cast<int>(context.size()) - n;
-  std::vector<float> weights = ContextWeights(n);
+  std::vector<float> spill;
+  const float* weights = context_weights_.Weights(n, &spill);
   for (int j = 0; j < n; ++j) {
     const float* vc = context_emb_.row(context[start + j].item);
     const float w = weights[j];
@@ -170,16 +209,22 @@ double BprModel::Score(const float* user_vec, data::ItemIndex i) const {
   thread_local std::vector<float> phi;
   phi.resize(dim());
   ItemRepresentation(i, phi.data());
-  return ScoreWithPhi(user_vec, phi.data());
+  return Dot(user_vec, phi.data(), dim());
 }
 
-double BprModel::ScoreWithPhi(const float* user_vec, const float* phi) const {
-  double sum = 0.0;
-  for (int k = 0; k < dim(); ++k) {
-    sum += static_cast<double>(user_vec[k]) * phi[k];
+PhiTable::PhiTable(const BprModel& model)
+    : num_items_(model.num_items()),
+      dim_(model.dim()),
+      values_(static_cast<size_t>(num_items_) * dim_) {
+  for (data::ItemIndex i = 0; i < num_items_; ++i) {
+    model.ItemRepresentation(i, values_.data() + static_cast<size_t>(i) * dim_);
   }
-  return sum;
 }
+
+double PhiTable::Score(const float* user_vec, data::ItemIndex i) const {
+  return Dot(user_vec, row(i), dim_);
+}
+
 
 int BprModel::ResizeForCatalog(Rng* rng) {
   const int added = catalog_->num_items() - item_emb_.rows();
@@ -191,6 +236,7 @@ int BprModel::ResizeForCatalog(Rng* rng) {
   if (params_.use_brand && catalog_->num_brands() > brand_emb_.rows()) {
     brand_emb_.GrowRows(catalog_->num_brands(), stddev, rng);
   }
+  BuildFeatureRows();
   return added;
 }
 
@@ -276,6 +322,7 @@ StatusOr<BprModel> BprModel::Deserialize(const std::string& bytes,
   if (model.item_emb_.rows() > catalog->num_items()) {
     return DataLossError("model has more items than catalog");
   }
+  model.BuildFeatureRows();
   return model;
 }
 

@@ -1,7 +1,10 @@
 #include "core/trainer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -27,95 +30,74 @@ BprTrainer::BprTrainer(BprModel* model, const TrainingData* data,
   SIGCHECK(sampler != nullptr);
 }
 
+BprTrainer::Scratch::Scratch(int dim, int window)
+    : u(dim), phi_i(dim), phi_j(dim), diff(dim), grad(dim) {
+  context.reserve(std::max(0, window));
+}
+
 void BprTrainer::UpdateRow(EmbeddingMatrix* table, int row, const float* dir,
-                           double scale_grad, double lambda) {
+                           double scale_grad, double lambda, double* grad) {
   const int d = model_->dim();
   const double eta = model_->params().learning_rate;
   float* w = table->row(row);
 
+  double norm_sq = 0.0;
+  for (int k = 0; k < d; ++k) {
+    grad[k] = scale_grad * dir[k] - lambda * w[k];
+    norm_sq += grad[k] * grad[k];
+  }
   double lr = eta;
   if (model_->params().use_adagrad) {
     // Row-wise Adagrad: accumulate the squared norm of this row's gradient
     // ("the sum of the norms of its updates", §III-C1), damping frequently
-    // updated rows.
-    double norm_sq = 0.0;
-    for (int k = 0; k < d; ++k) {
-      double g = scale_grad * dir[k] - lambda * w[k];
-      norm_sq += g * g;
-    }
-    // Benign race under Hogwild.
+    // updated rows. Benign race under Hogwild.
     float& acc = table->adagrad(row);
     acc += static_cast<float>(norm_sq);
     lr = eta / std::sqrt(1e-6 + acc);
   }
-  for (int k = 0; k < d; ++k) {
-    double g = scale_grad * dir[k] - lambda * w[k];
-    w[k] += static_cast<float>(lr * g);
-  }
+  for (int k = 0; k < d; ++k) w[k] += static_cast<float>(lr * grad[k]);
 }
 
 double BprTrainer::ApplyUpdate(const Context& context,
                                data::ItemIndex positive,
-                               data::ItemIndex negative) {
+                               data::ItemIndex negative, Scratch* scratch) {
   const int d = model_->dim();
   const HyperParams& params = model_->params();
+  const float* u = scratch->u.data();
+  float* diff = scratch->diff.data();
+  double* grad = scratch->grad.data();
 
-  thread_local std::vector<float> u, phi_i, phi_j, diff;
-  u.resize(d);
-  phi_i.resize(d);
-  phi_j.resize(d);
-  diff.resize(d);
-
-  model_->UserEmbedding(context, u.data());
-  model_->ItemRepresentation(positive, phi_i.data());
-  model_->ItemRepresentation(negative, phi_j.data());
-
+  model_->ItemRepresentation(positive, scratch->phi_i.data());
+  model_->ItemRepresentation(negative, scratch->phi_j.data());
   double x = 0.0;
   for (int k = 0; k < d; ++k) {
-    diff[k] = phi_i[k] - phi_j[k];
+    diff[k] = scratch->phi_i[k] - scratch->phi_j[k];
     x += static_cast<double>(u[k]) * diff[k];
   }
   const double loss = Softplus(-x);
   const double s = 1.0 / (1.0 + std::exp(x));  // sigma(-x)
 
   // --- Item-side updates: every additive component of phi gets the same
-  // gradient direction (hierarchical additive model).
-  auto update_item_side = [&](data::ItemIndex item, double sign) {
-    UpdateRow(&model_->item_embeddings(), item, u.data(), sign * s,
-              params.lambda_v);
-    const data::Item& meta = model_->catalog().item(item);
-    if (params.use_taxonomy) {
-      for (data::CategoryId a :
-           model_->catalog().taxonomy().PathToRoot(meta.category)) {
-        UpdateRow(&model_->taxonomy_embeddings(), a, u.data(), sign * s,
-                  params.lambda_v);
-      }
+  // gradient direction (hierarchical additive model). The positive's rows
+  // go first; rows it shares with the negative are then updated again.
+  for (const auto& [item, scale] : {std::pair{positive, s},
+                                    std::pair{negative, -s}}) {
+    for (const BprModel::FeatureRow& r : model_->FeatureRows(item)) {
+      UpdateRow(&model_->feature_table(r.table), r.row, u, scale,
+                params.lambda_v, grad);
     }
-    if (params.use_brand && meta.brand != data::kUnknownBrand &&
-        meta.brand < model_->brand_embeddings().rows()) {
-      UpdateRow(&model_->brand_embeddings(), meta.brand, u.data(), sign * s,
-                params.lambda_v);
-    }
-    if (params.use_price) {
-      int bucket = data::PriceBucket(meta.price, data::kDefaultPriceBuckets);
-      if (bucket >= 0) {
-        UpdateRow(&model_->price_embeddings(), bucket, u.data(), sign * s,
-                  params.lambda_v);
-      }
-    }
-  };
-  update_item_side(positive, +1.0);
-  update_item_side(negative, -1.0);
+  }
 
   // --- Context-side updates: vC of each context item, weighted by its
   // decay weight (gradient of u = sum_m w_m vC_m w.r.t. vC_m is w_m).
-  const int window = params.context_window;
-  const int n = std::min<int>(window, static_cast<int>(context.size()));
+  const int n =
+      std::min<int>(params.context_window, static_cast<int>(context.size()));
   const int start = static_cast<int>(context.size()) - n;
-  std::vector<float> weights = model_->ContextWeights(n);
+  const float* weights =
+      model_->context_weights().Weights(n, &scratch->weights);
   for (int m = 0; m < n; ++m) {
-    UpdateRow(&model_->context_embeddings(), context[start + m].item,
-              diff.data(), s * weights[m], params.lambda_vc);
+    UpdateRow(&model_->context_embeddings(), context[start + m].item, diff,
+              s * weights[m], params.lambda_vc, grad);
   }
   return loss;
 }
@@ -123,15 +105,20 @@ double BprTrainer::ApplyUpdate(const Context& context,
 double BprTrainer::Step(const Context& context, data::ItemIndex positive,
                         data::ItemIndex negative, Rng* /*rng*/) {
   SIGCHECK(!context.empty());
-  return ApplyUpdate(context, positive, negative);
+  Scratch scratch(model_->dim(), 0);
+  model_->UserEmbedding(context, scratch.u.data());
+  return ApplyUpdate(context, positive, negative, &scratch);
 }
 
-double BprTrainer::SampleAndStep(Rng* rng) {
+double BprTrainer::SampleAndStep(Rng* rng, Scratch* scratch) {
   const HyperParams& params = model_->params();
   TrainingData::Position pos = data_->SamplePosition(rng);
   const data::Interaction& event = data_->EventAt(pos);
-  Context context = data_->ContextAt(pos, params.context_window);
-  if (context.empty()) return -1.0;
+  data_->ContextAt(pos, params.context_window, &scratch->context);
+  if (scratch->context.empty()) return -1.0;
+  // One user vector per step, shared by the negative sampler and the
+  // update.
+  model_->UserEmbedding(scratch->context, scratch->u.data());
 
   data::ItemIndex negative = data::kInvalidItem;
   // Tier constraint: with some probability, and when the positive action
@@ -143,13 +130,11 @@ double BprTrainer::SampleAndStep(Rng* rng) {
     if (negative == event.item) negative = data::kInvalidItem;
   }
   if (negative == data::kInvalidItem) {
-    thread_local std::vector<float> u;
-    u.resize(model_->dim());
-    model_->UserEmbedding(context, u.data());
-    negative = sampler_->Sample(*data_, pos.user, u.data(), event.item, rng);
+    negative = sampler_->Sample(*data_, pos.user, scratch->u.data(),
+                                event.item, rng);
   }
   if (negative == data::kInvalidItem || negative == event.item) return -1.0;
-  return ApplyUpdate(context, event.item, negative);
+  return ApplyUpdate(scratch->context, event.item, negative, scratch);
 }
 
 TrainStats BprTrainer::Train(const Options& options) {
@@ -161,37 +146,50 @@ TrainStats BprTrainer::Train(const Options& options) {
   if (steps_per_epoch == 0) return stats;
 
   const int threads = std::max(1, options.num_threads);
-  ThreadPool pool(threads);
   const int64_t chunks = static_cast<int64_t>(threads) * 4;
   const int num_epochs =
       options.num_epochs > 0 ? options.num_epochs : params.num_epochs;
+  std::vector<Scratch> scratch(
+      threads, Scratch(model_->dim(), params.context_window));
+  // A single-threaded run stays on the calling thread.
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 
   for (int epoch = 0; epoch < num_epochs; ++epoch) {
     std::atomic<double> loss_sum{0.0};
-    std::atomic<int64_t> done{0}, skipped{0};
-    pool.ParallelFor(chunks, [&](int64_t c) {
-      // Per-chunk RNG: deterministic in (seed, epoch, chunk) for
-      // single-threaded runs; Hogwild interleaving is inherently
-      // nondeterministic across threads.
-      Rng rng(SplitMix64(params.seed + 1) ^
-              SplitMix64(static_cast<uint64_t>(epoch) * 1000003ULL + c));
-      int64_t my_steps =
-          steps_per_epoch / chunks + (c < steps_per_epoch % chunks ? 1 : 0);
-      double local_loss = 0.0;
-      int64_t local_done = 0, local_skipped = 0;
-      for (int64_t i = 0; i < my_steps; ++i) {
-        double loss = SampleAndStep(&rng);
-        if (loss < 0.0) {
-          ++local_skipped;
-        } else {
-          local_loss += loss;
-          ++local_done;
+    std::atomic<int64_t> done{0}, skipped{0}, next_chunk{0};
+    // Worker `w` owns scratch[w] and claims chunks in index order.
+    auto worker = [&](int64_t w) {
+      for (int64_t c = next_chunk.fetch_add(1); c < chunks;
+           c = next_chunk.fetch_add(1)) {
+        // Per-chunk RNG: deterministic in (seed, epoch, chunk) for
+        // single-threaded runs; Hogwild interleaving is inherently
+        // nondeterministic across threads.
+        Rng rng(SplitMix64(params.seed + 1) ^
+                SplitMix64(static_cast<uint64_t>(epoch) * 1000003ULL + c));
+        const int64_t steps =
+            steps_per_epoch / chunks + (c < steps_per_epoch % chunks ? 1 : 0);
+        double local_loss = 0.0;
+        int64_t local_done = 0, local_skipped = 0;
+        for (int64_t i = 0; i < steps; ++i) {
+          const double loss = SampleAndStep(&rng, &scratch[w]);
+          if (loss < 0.0) {
+            ++local_skipped;
+          } else {
+            local_loss += loss;
+            ++local_done;
+          }
         }
+        loss_sum.fetch_add(local_loss);
+        done.fetch_add(local_done);
+        skipped.fetch_add(local_skipped);
       }
-      loss_sum.fetch_add(local_loss);
-      done.fetch_add(local_done);
-      skipped.fetch_add(local_skipped);
-    });
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(threads, worker);
+    } else {
+      worker(0);
+    }
 
     stats.epochs_run = epoch + 1;
     stats.sgd_steps += done.load();

@@ -2,6 +2,7 @@
 #define SIGMUND_CORE_TRAINER_H_
 
 #include <functional>
+#include <vector>
 
 #include "core/model.h"
 #include "core/negative_sampler.h"
@@ -55,16 +56,28 @@ class BprTrainer {
               data::ItemIndex negative, Rng* rng);
 
  private:
+  // One thread's working memory, sized once per Train call so that an SGD
+  // step makes no heap allocation.
+  struct Scratch {
+    Scratch(int dim, int window);
+    Context context;
+    std::vector<float> u, phi_i, phi_j, diff;
+    std::vector<double> grad;  // one row's gradient
+    std::vector<float> weights;  // context weights beyond the table
+  };
+
   // One SGD step sampled from the data; returns loss or -1 if skipped.
-  double SampleAndStep(Rng* rng);
+  double SampleAndStep(Rng* rng, Scratch* scratch);
 
-  // Applies the pairwise update given precomputed state.
+  // Applies the pairwise update; scratch->u must hold the user embedding
+  // of `context`.
   double ApplyUpdate(const Context& context, data::ItemIndex positive,
-                     data::ItemIndex negative);
+                     data::ItemIndex negative, Scratch* scratch);
 
-  // Adds grad into a row with Adagrad-scaled learning rate.
-  void UpdateRow(EmbeddingMatrix* table, int row, const float* grad,
-                 double scale_grad, double lambda);
+  // Steps one row along scale_grad * dir minus its L2 term, with an
+  // Adagrad-scaled learning rate; `grad` is dim() doubles of scratch.
+  void UpdateRow(EmbeddingMatrix* table, int row, const float* dir,
+                 double scale_grad, double lambda, double* grad);
 
   BprModel* model_;
   const TrainingData* data_;

@@ -1,6 +1,7 @@
 #include "core/training_data.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -12,7 +13,8 @@ TrainingData::TrainingData(
     : histories_(histories), num_items_(num_items) {
   SIGCHECK(histories != nullptr);
   const int users = static_cast<int>(histories->size());
-  seen_.resize(users);
+  seen_offsets_.reserve(users + 1);
+  seen_offsets_.push_back(0);
   tier_buckets_.resize(users);
   item_counts_.assign(num_items, 0);
 
@@ -25,12 +27,17 @@ TrainingData::TrainingData(
       SIGCHECK_GE(event.item, 0);
       SIGCHECK_LT(event.item, num_items);
       if (idx >= 1) positions_.push_back(Position{u, idx});
-      seen_[u].insert(event.item);
+      seen_items_.push_back(event.item);
       ++item_counts_[event.item];
       int strength = data::ActionStrength(event.action);
       auto [it, inserted] = max_strength.emplace(event.item, strength);
       if (!inserted) it->second = std::max(it->second, strength);
     }
+    const auto user_seen = seen_items_.begin() + seen_offsets_.back();
+    std::sort(user_seen, seen_items_.end());
+    seen_items_.erase(std::unique(user_seen, seen_items_.end()),
+                      seen_items_.end());
+    seen_offsets_.push_back(static_cast<int64_t>(seen_items_.size()));
     tier_buckets_[u].assign(data::kNumActionTypes, {});
     for (const auto& [item, strength] : max_strength) {
       tier_buckets_[u][strength].push_back(item);
@@ -48,14 +55,19 @@ TrainingData::Position TrainingData::SamplePosition(Rng* rng) const {
 }
 
 Context TrainingData::ContextAt(Position p, int window) const {
-  const auto& history = (*histories_)[p.user];
-  int start = std::max(0, p.index - window);
   Context context;
-  context.reserve(p.index - start);
-  for (int idx = start; idx < p.index; ++idx) {
-    context.push_back(ContextEntry{history[idx].item, history[idx].action});
-  }
+  ContextAt(p, window, &context);
   return context;
+}
+
+void TrainingData::ContextAt(Position p, int window, Context* out) const {
+  const auto& history = (*histories_)[p.user];
+  const int start = std::max(0, p.index - window);
+  out->clear();
+  out->reserve(p.index - start);
+  for (int idx = start; idx < p.index; ++idx) {
+    out->push_back(ContextEntry{history[idx].item, history[idx].action});
+  }
 }
 
 Context TrainingData::FullContext(data::UserIndex user, int window) const {
@@ -64,7 +76,9 @@ Context TrainingData::FullContext(data::UserIndex user, int window) const {
 }
 
 bool TrainingData::Seen(data::UserIndex user, data::ItemIndex item) const {
-  return seen_[user].count(item) > 0;
+  return std::binary_search(seen_items_.begin() + seen_offsets_[user],
+                            seen_items_.begin() + seen_offsets_[user + 1],
+                            item);
 }
 
 const std::vector<data::ItemIndex>& TrainingData::TierBucket(

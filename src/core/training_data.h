@@ -3,8 +3,6 @@
 
 #include <stdint.h>
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/random.h"
@@ -56,6 +54,8 @@ class TrainingData {
   // The user's context immediately before position `p`: the last `window`
   // (action, item) pairs preceding it, oldest first.
   Context ContextAt(Position p, int window) const;
+  // Same, written into `*out` (reusing its capacity).
+  void ContextAt(Position p, int window, Context* out) const;
 
   // Full context of a user (all training events, capped to `window`), used
   // at evaluation time for the hold-out example.
@@ -82,7 +82,10 @@ class TrainingData {
   const std::vector<std::vector<data::Interaction>>* histories_;
   int num_items_;
   std::vector<Position> positions_;
-  std::vector<std::unordered_set<data::ItemIndex>> seen_;
+  // User u's distinct seen items, sorted: seen_items_[seen_offsets_[u] ..
+  // seen_offsets_[u + 1]).
+  std::vector<int64_t> seen_offsets_;
+  std::vector<data::ItemIndex> seen_items_;
   // tier_buckets_[user][strength] = items with max strength == strength.
   std::vector<std::vector<std::vector<data::ItemIndex>>> tier_buckets_;
   std::vector<int64_t> item_counts_;

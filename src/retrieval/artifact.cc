@@ -1,7 +1,6 @@
 #include "retrieval/artifact.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/binary_io.h"
 #include "common/string_util.h"
@@ -26,18 +25,8 @@ void IndexArtifact::QueryEmbedding(const core::Context& context,
   const int n =
       std::min<int>(context_window, static_cast<int>(context.size()));
   const int start = static_cast<int>(context.size()) - n;
-  // Normalized geometric decay, newest entry weighted 1 before
-  // normalization — the same weights BprModel::ContextWeights computes.
-  std::vector<float> weights(n);
-  double total = 0.0;
-  for (int j = 0; j < n; ++j) {
-    const double w = std::pow(context_decay, n - 1 - j);
-    weights[j] = static_cast<float>(w);
-    total += w;
-  }
-  if (total > 0.0) {
-    for (float& w : weights) w = static_cast<float>(w / total);
-  }
+  std::vector<float> spill;
+  const float* weights = query_weights.Weights(n, &spill);
   for (int j = 0; j < n; ++j) {
     const data::ItemIndex item = context[start + j].item;
     if (item < 0 || item >= num_context_rows) continue;
@@ -94,6 +83,8 @@ StatusOr<IndexArtifact> IndexArtifact::Deserialize(const std::string& bytes) {
           static_cast<size_t>(context_rows) * static_cast<size_t>(dim)) {
     return DataLossError("inconsistent index artifact");
   }
+  artifact.query_weights =
+      core::ContextWeightTable(artifact.context_decay, window);
   return artifact;
 }
 
@@ -110,17 +101,9 @@ std::string IndexArtifactVersionPath(data::RetailerId retailer,
 IndexArtifact BuildArtifactFromModel(data::RetailerId retailer,
                                      const core::BprModel& model,
                                      const AnnIndex::Options& options) {
-  const int dim = model.dim();
-  const int n = model.num_items();
-  std::vector<float> item_vectors(static_cast<size_t>(n) * dim);
-  std::vector<float> phi(dim);
-  for (int i = 0; i < n; ++i) {
-    model.ItemRepresentation(static_cast<data::ItemIndex>(i), phi.data());
-    std::copy_n(phi.data(), dim,
-                item_vectors.data() + static_cast<size_t>(i) * dim);
-  }
   return BuildArtifactFromFactors(
-      retailer, item_vectors, model.context_embeddings().values(), dim,
+      retailer, core::PhiTable(model).values(),
+      model.context_embeddings().values(), model.dim(),
       model.params().context_window, model.params().context_decay, options);
 }
 
@@ -135,6 +118,8 @@ IndexArtifact BuildArtifactFromFactors(data::RetailerId retailer,
   artifact.dim = dim;
   artifact.context_window = context_window;
   artifact.context_decay = context_decay;
+  artifact.query_weights =
+      core::ContextWeightTable(context_decay, context_window);
   artifact.index = AnnIndex::Build(item_vectors, dim, options);
   artifact.num_context_rows =
       dim > 0 ? static_cast<int>(query_vectors.size()) / dim : 0;

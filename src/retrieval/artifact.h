@@ -38,6 +38,10 @@ struct IndexArtifact {
   int num_context_rows = 0;
   std::vector<float> context_vectors;
 
+  // Decay weights of context_decay, precomputed by the builders and by
+  // Deserialize (not serialized) so a query allocates nothing for them.
+  core::ContextWeightTable query_weights;
+
   // Writes the context-derived query embedding into out[dim], using the
   // last `context_window` entries with normalized geometric-decay
   // weights — the same arithmetic as BprModel::UserEmbedding. Entries
@@ -57,10 +61,10 @@ std::string IndexArtifactPath(data::RetailerId retailer);
 std::string IndexArtifactVersionPath(data::RetailerId retailer,
                                      int64_t version);
 
-// Snapshots a trained BPR model into an artifact: exports phi(i) per
-// item (item embedding + additive taxonomy/brand/price features, exactly
-// what inference scores with) as the indexed vectors and the context
-// table as the query side.
+// Snapshots a trained BPR model into an artifact: exports the model's
+// PhiTable (item embedding + additive taxonomy/brand/price features,
+// exactly what inference scores with) as the indexed vectors and the
+// context table as the query side.
 IndexArtifact BuildArtifactFromModel(data::RetailerId retailer,
                                      const core::BprModel& model,
                                      const AnnIndex::Options& options);

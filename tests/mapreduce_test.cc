@@ -1,9 +1,10 @@
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -324,23 +325,71 @@ TEST(MapReduceTest, TaskLatencyObservedWithDefaultAndSimClock) {
   }
 }
 
-// Mapper whose first (primary) attempt for task 0 is a straggler: it
-// sleeps per record, while every other task — and any backup attempt for
-// task 0 — runs at full speed.
+// Handshake that fixes the order of the speculation race:
+//  1. Tasks 1-3 start only once task 0's primary attempt has started, so
+//     the backup (launched after they commit) can never start first.
+//  2. The primary blocks in its first Map call until the backup has
+//     committed. The framework destroys an attempt's mapper only after the
+//     attempt has committed (or given up), so the backup's mapper signals
+//     from its destructor.
+// Every wait is bounded, so a speculation path that never launches or
+// commits the backup fails the test instead of hanging it.
+struct TaskZeroHandshake {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool primary_started = false;
+  bool backup_done = false;
+
+  // Waits up to 10 s for `flag`; reports a test failure on timeout.
+  bool WaitFor(const bool& flag, const char* what) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (cv.wait_for(lock, std::chrono::seconds(10), [&] { return flag; })) {
+      return true;
+    }
+    ADD_FAILURE() << "timed out waiting until " << what;
+    return false;
+  }
+  void Set(bool* flag) {
+    std::lock_guard<std::mutex> lock(mu);
+    *flag = true;
+    cv.notify_all();
+  }
+};
+
+// Mapper whose first (primary) attempt for task 0 is a straggler: it is
+// held until task 0's backup attempt has committed, while every other task
+// — and the backup itself — runs at full speed. The primary then sees the
+// commit at its next record boundary and cancels.
 class StragglerMapper : public Mapper {
  public:
-  explicit StragglerMapper(std::atomic<int>* task0_instances)
-      : task0_instances_(task0_instances) {}
+  StragglerMapper(std::atomic<int>* task0_instances,
+                  TaskZeroHandshake* handshake)
+      : task0_instances_(task0_instances), handshake_(handshake) {}
+
+  ~StragglerMapper() override {
+    if (task_id_ == 0 && !straggle_) handshake_->Set(&handshake_->backup_done);
+  }
 
   Status Start(int task_id) override {
-    if (task_id == 0) {
-      straggle_ = task0_instances_->fetch_add(1) == 0;
+    task_id_ = task_id;
+    if (task_id != 0) {
+      if (!handshake_->WaitFor(handshake_->primary_started,
+                               "task 0's primary attempt started")) {
+        return UnavailableError("primary of task 0 never started");
+      }
+      return OkStatus();
     }
+    straggle_ = task0_instances_->fetch_add(1) == 0;
+    if (straggle_) handshake_->Set(&handshake_->primary_started);
     return OkStatus();
   }
   Status Map(const Record& input, const Emitter& emit) override {
-    if (straggle_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    if (straggle_ && !waited_) {
+      waited_ = true;
+      if (!handshake_->WaitFor(handshake_->backup_done,
+                               "task 0's backup attempt committed")) {
+        return UnavailableError("backup of task 0 never committed");
+      }
     }
     emit(input);
     return OkStatus();
@@ -348,7 +397,10 @@ class StragglerMapper : public Mapper {
 
  private:
   std::atomic<int>* task0_instances_;
+  TaskZeroHandshake* handshake_;
+  int task_id_ = -1;
   bool straggle_ = false;
+  bool waited_ = false;
 };
 
 TEST(MapReduceTest, SpeculativeBackupOvertakesStraggler) {
@@ -359,10 +411,12 @@ TEST(MapReduceTest, SpeculativeBackupOvertakesStraggler) {
   spec.speculative_backups = true;
   spec.speculation_commit_fraction = 0.75;
   std::atomic<int> task0_instances{0};
+  TaskZeroHandshake handshake;
   MapReduceJob job(
       spec,
-      [&task0_instances] {
-        return std::make_unique<StragglerMapper>(&task0_instances);
+      [&task0_instances, &handshake] {
+        return std::make_unique<StragglerMapper>(&task0_instances,
+                                                 &handshake);
       },
       [] { return IdentityReducer(); });
   std::vector<Record> input;
