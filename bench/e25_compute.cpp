@@ -1,5 +1,6 @@
 // E25: the BPR compute kernel, the layer that owns nearly all of a daily
-// run's wall time (training is ~98% of a full-sweep day). Three questions:
+// run's wall time (training is ~98% of a full-sweep day), and the serving
+// request path. Four questions:
 //
 //  1. Throughput — single-threaded SGD steps/s at d = 8, 32 and 128 on a
 //     fixed seeded retailer, with the pipeline's own sampler stack
@@ -12,6 +13,11 @@
 //     same-seed, single-threaded trained model with every feature on and
 //     the adaptive sampler. Any change to the kernel's arithmetic moves it;
 //     banded exactly.
+//  4. Serving request path — heap allocations of one materialized
+//     Frontend::Handle after warm-up, over a one-replica store group with
+//     the registry attached (bench::RequestPathProbe, the harness
+//     serving_alloc_test checks; deterministic, banded exactly), and
+//     single-thread ns per Handle (wall clock, banded loosely).
 //
 // Results land in BENCH_compute.json; bench/baselines/compute_quick.json
 // gates them in CI via check_trajectory.
@@ -27,6 +33,7 @@
 
 #include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
+#include "bench/request_path_probe.h"
 #include "common/clock.h"
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -122,6 +129,41 @@ uint32_t ModelFingerprint(const Retailer& r) {
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
+// Mean heap allocations per Handle() over browse and cart requests.
+double ServingAllocationsPerRequest() {
+  const bench::RequestPathProbe probe;
+  int64_t allocations = 0, requests = 0;
+  for (const serving::RecommendationRequest& request :
+       {bench::RequestPathProbe::Browse(), bench::RequestPathProbe::Cart()}) {
+    for (int64_t n : probe.AllocationsPerRequest(request, 20, 500)) {
+      allocations += n;
+      ++requests;
+    }
+  }
+  return static_cast<double>(allocations) / static_cast<double>(requests);
+}
+
+// Median single-thread ns per Handle() over `reps` runs of `requests`
+// requests alternating browse and cart, after a warm-up run.
+double HandleNanos(int requests, int reps) {
+  const bench::RequestPathProbe probe;
+  const serving::RecommendationRequest browse =
+      bench::RequestPathProbe::Browse();
+  const serving::RecommendationRequest cart = bench::RequestPathProbe::Cart();
+  RealClock* clock = RealClock::Get();
+  std::vector<double> nanos;
+  for (int rep = 0; rep <= reps; ++rep) {
+    const int64_t t0 = clock->NowMicros();
+    for (int i = 0; i < requests; ++i) {
+      SIGCHECK(probe.frontend().Handle(i % 2 == 0 ? browse : cart).ok());
+    }
+    const double elapsed = static_cast<double>(clock->NowMicros() - t0);
+    if (rep > 0) nanos.push_back(elapsed * 1e3 / requests);
+  }
+  std::sort(nanos.begin(), nanos.end());
+  return nanos[nanos.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,7 +174,7 @@ int main(int argc, char** argv) {
   const int64_t steps = quick ? 30000 : 200000;
   const int reps = quick ? 3 : 5;
   std::printf("e25_compute: BPR kernel throughput / allocations / "
-              "fingerprint (%s run)\n",
+              "fingerprint / request path (%s run)\n",
               quick ? "quick" : "full");
 
   const Retailer retailer;
@@ -148,12 +190,21 @@ int main(int argc, char** argv) {
   std::printf("heap allocations per SGD step after warm-up: %.4f\n", allocs);
   const uint32_t fingerprint = ModelFingerprint(retailer);
   std::printf("trained-model fingerprint: %u\n", fingerprint);
+  const double serving_allocs = ServingAllocationsPerRequest();
+  std::printf("heap allocations per materialized request: %.4f\n",
+              serving_allocs);
+  const double handle_ns = HandleNanos(quick ? 100000 : 500000, reps);
+  std::printf("single-thread materialized Handle: %.0f ns/request\n",
+              handle_ns);
 
   std::string json = "{\n  \"bench\": \"e25_compute\",\n";
   json += StrFormat("  \"quick\": %s,\n", quick ? "true" : "false");
   json += "  \"kernel\": {" + kernel_json + "},\n";
   json += StrFormat("  \"work\": {\"allocs_per_sgd_step\": %.6f},\n", allocs);
-  json += StrFormat("  \"model\": {\"fingerprint\": %u}\n}\n", fingerprint);
+  json += StrFormat("  \"model\": {\"fingerprint\": %u},\n", fingerprint);
+  json += StrFormat(
+      "  \"serving\": {\"allocs_per_request\": %.4f, \"handle_ns\": %.1f}\n}\n",
+      serving_allocs, handle_ns);
 
   std::FILE* out = std::fopen("BENCH_compute.json", "w");
   SIGCHECK(out != nullptr);

@@ -222,6 +222,31 @@ class MetricRegistry {
   std::map<std::string, Entry> entries_;
 };
 
+// One instrument of a fixed (name, labels) series, resolved from its
+// registry on first use and cached, for per-request paths: later uses
+// build no label strings and take no registry lock. The series enters
+// snapshots on first use, as a GetCounter call at the use site would.
+// Racing first uses resolve the same instrument, so either store wins.
+//
+//   mutable obs::LazyInstrument<obs::Counter> failovers_;
+//   failovers_.Get([&] { return metrics_->GetCounter("x_total"); })->Add(1);
+template <typename Instrument>
+class LazyInstrument {
+ public:
+  template <typename Resolve>
+  Instrument* Get(Resolve&& resolve) {
+    Instrument* instrument = cached_.load(std::memory_order_acquire);
+    if (instrument == nullptr) {
+      instrument = resolve();
+      cached_.store(instrument, std::memory_order_release);
+    }
+    return instrument;
+  }
+
+ private:
+  std::atomic<Instrument*> cached_{nullptr};
+};
+
 // Renders labels as {k="v",...} (empty string for no labels).
 std::string RenderLabels(const Labels& labels);
 

@@ -194,18 +194,20 @@ const char* TraceVerdictName(TraceVerdict verdict) {
   return "unknown";
 }
 
-int64_t TraceContext::StartSpan(const std::string& name) const {
+int64_t TraceContext::StartSpan(std::string_view name) const {
   if (trace == nullptr) return 0;
-  return trace->StartSpan(name, span_id);
+  return trace->StartSpan(std::string(name), span_id);
 }
 
 void TraceContext::EndSpan(int64_t id) const {
   if (trace != nullptr) trace->EndSpan(id);
 }
 
-void TraceContext::Annotate(const std::string& key,
-                            const std::string& value) const {
-  if (trace != nullptr) trace->Annotate(span_id, key, value);
+void TraceContext::Annotate(std::string_view key,
+                            std::string_view value) const {
+  if (trace != nullptr) {
+    trace->Annotate(span_id, std::string(key), std::string(value));
+  }
 }
 
 void TraceContext::SetVerdict(TraceVerdict verdict) const {
@@ -362,9 +364,17 @@ bool RequestTracer::Submit(RequestTrace trace) {
   const bool keep = record.verdict != TraceVerdict::kHealthy ||
                     WouldKeepHealthy(record.trace_id);
   if (metrics_ != nullptr) {
-    const Labels labels = {{"verdict", TraceVerdictName(record.verdict)}};
-    metrics_->GetCounter("trace_requests_total", labels)->Add(1);
-    if (keep) metrics_->GetCounter("trace_kept_total", labels)->Add(1);
+    const int v = static_cast<int>(record.verdict);
+    auto count = [&](LazyInstrument<Counter>& counter, const char* name) {
+      counter
+          .Get([&] {
+            return metrics_->GetCounter(
+                name, {{"verdict", TraceVerdictName(record.verdict)}});
+          })
+          ->Add(1);
+    };
+    count(requests_[v], "trace_requests_total");
+    if (keep) count(kept_counts_[v], "trace_kept_total");
   }
   if (!keep) return false;
   std::lock_guard<std::mutex> lock(mu_);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -176,6 +177,7 @@ enum class TraceVerdict {
   kError = 2,
   kDeadlineOverrun = 3,
 };
+inline constexpr int kNumTraceVerdicts = 4;
 
 // "healthy" / "shed" / "error" / "deadline_overrun".
 const char* TraceVerdictName(TraceVerdict verdict);
@@ -193,9 +195,11 @@ struct TraceContext {
   bool active() const { return trace != nullptr; }
   // Starts a child span / annotates the context's span / records the
   // request verdict. No-ops when inactive.
-  int64_t StartSpan(const std::string& name) const;
+  // Names and values are copied only when active, so an inactive context
+  // costs no string construction.
+  int64_t StartSpan(std::string_view name) const;
   void EndSpan(int64_t id) const;
-  void Annotate(const std::string& key, const std::string& value) const;
+  void Annotate(std::string_view key, std::string_view value) const;
   void SetVerdict(TraceVerdict verdict) const;
 };
 
@@ -302,6 +306,10 @@ class RequestTracer {
   MetricRegistry* metrics_;
   const Clock* clock_;
   uint64_t sample_threshold_ = 0;  // healthy kept iff hash < threshold
+  // trace_requests_total / trace_kept_total by verdict, resolved on first
+  // use.
+  LazyInstrument<Counter> requests_[kNumTraceVerdicts];
+  LazyInstrument<Counter> kept_counts_[kNumTraceVerdicts];
 
   mutable std::mutex mu_;
   uint64_t next_trace_id_ = 1;

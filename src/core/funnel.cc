@@ -1,6 +1,6 @@
 #include "core/funnel.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 namespace sigmund::core {
 
@@ -20,8 +20,8 @@ FunnelStage ClassifyFunnelStage(const Context& context,
   const int n = static_cast<int>(context.size());
   const int start = std::max(0, n - options.window);
 
-  std::unordered_map<data::ItemIndex, int> item_views;
-  std::unordered_map<data::CategoryId, int> category_events;
+  // The window is a handful of entries, so each entry's repeat count is a
+  // scan of the entries before it — no per-request hash tables.
   for (int j = start; j < n; ++j) {
     const ContextEntry& entry = context[j];
     // A cart (or conversion) means the purchase decision is essentially
@@ -30,12 +30,16 @@ FunnelStage ClassifyFunnelStage(const Context& context,
         entry.action == data::ActionType::kConversion) {
       return FunnelStage::kLate;
     }
-    if (++item_views[entry.item] >= options.min_repeat_views) {
-      return FunnelStage::kLate;
-    }
+    int item_views = 1;
+    for (int k = start; k < j; ++k) item_views += context[k].item == entry.item;
+    if (item_views >= options.min_repeat_views) return FunnelStage::kLate;
     if (catalog != nullptr) {
-      data::CategoryId category = catalog->item(entry.item).category;
-      if (++category_events[category] >= options.min_category_focus) {
+      const data::CategoryId category = catalog->item(entry.item).category;
+      int category_events = 1;
+      for (int k = start; k < j; ++k) {
+        category_events += catalog->item(context[k].item).category == category;
+      }
+      if (category_events >= options.min_category_focus) {
         return FunnelStage::kLate;
       }
     }

@@ -28,13 +28,17 @@ inline double SquaredL2(const float* a, const float* b, int dim) {
 // Keeps the best k (score desc, item asc) out of a candidate stream.
 // Candidates arrive in no particular item order (ANN probes lists), so
 // the final sort enforces the deterministic order the interface promises.
+// Items are unique, so that order is total and a partial sort of the
+// first k gives exactly the full sort's prefix.
 void SortAndTruncate(std::vector<core::ScoredItem>* items, int k) {
-  std::sort(items->begin(), items->end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
-  if (static_cast<int>(items->size()) > k) items->resize(k);
+  const size_t top =
+      std::min(items->size(), static_cast<size_t>(std::max(k, 0)));
+  std::partial_sort(items->begin(), items->begin() + top, items->end(),
+                    [](const core::ScoredItem& a, const core::ScoredItem& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.item < b.item;
+                    });
+  items->resize(top);
 }
 
 }  // namespace
@@ -163,8 +167,13 @@ std::vector<core::ScoredItem> AnnIndex::Search(const float* query, int k,
             });
   const int probes = std::max(1, std::min(nprobe, num_lists_));
 
-  std::vector<core::ScoredItem> items;
   int64_t scanned = 0;
+  for (int p = 0; p < probes; ++p) {
+    const int c = ranked[p].second;
+    scanned += list_offsets_[c + 1] - list_offsets_[c];
+  }
+  std::vector<core::ScoredItem> items;
+  items.reserve(static_cast<size_t>(scanned));
   for (int p = 0; p < probes; ++p) {
     const int c = ranked[p].second;
     const int32_t begin = list_offsets_[c];
@@ -176,7 +185,6 @@ std::vector<core::ScoredItem> AnnIndex::Search(const float* query, int k,
                list_vectors_.data() + static_cast<size_t>(slot) * dim_,
                dim_)});
     }
-    scanned += end - begin;
   }
   if (stats != nullptr) {
     stats->lists_probed = probes;

@@ -160,18 +160,23 @@ void AdmissionController::UpdatePressureLocked() {
 void AdmissionController::CountShed(RequestPriority priority,
                                     ShedReason reason) {
   if (metrics_ == nullptr) return;
-  metrics_
-      ->GetCounter("serving_shed_total",
-                   {{"priority", RequestPriorityName(priority)},
-                    {"reason", ShedReasonName(reason)}})
+  shed_[static_cast<int>(priority)][static_cast<int>(reason)]
+      .Get([&] {
+        return metrics_->GetCounter(
+            "serving_shed_total", {{"priority", RequestPriorityName(priority)},
+                                   {"reason", ShedReasonName(reason)}});
+      })
       ->Add(1);
 }
 
 void AdmissionController::CountAdmitted(RequestPriority priority) {
   if (metrics_ == nullptr) return;
-  metrics_
-      ->GetCounter("serving_admitted_total",
-                   {{"priority", RequestPriorityName(priority)}})
+  admitted_[static_cast<int>(priority)]
+      .Get([&] {
+        return metrics_->GetCounter(
+            "serving_admitted_total",
+            {{"priority", RequestPriorityName(priority)}});
+      })
       ->Add(1);
 }
 

@@ -59,6 +59,7 @@ enum class ShedReason {
   kQueueDeadline,  // deadline passed while waiting for a slot
   kCodel,          // standing queue: sojourn above target for a whole interval
 };
+inline constexpr int kNumShedReasons = 6;
 
 const char* ShedReasonName(ShedReason reason);
 
@@ -288,6 +289,11 @@ class AdmissionController {
   obs::Gauge* queue_gauge_ = nullptr;
   obs::Gauge* pressure_gauge_ = nullptr;
   obs::Gauge* in_flight_gauge_ = nullptr;
+  // serving_admitted_total{priority} and
+  // serving_shed_total{priority,reason}, resolved on first use.
+  obs::LazyInstrument<obs::Counter> admitted_[kNumRequestPriorities];
+  obs::LazyInstrument<obs::Counter> shed_[kNumRequestPriorities]
+                                         [kNumShedReasons];
 
   mutable std::mutex mu_;
   AdaptiveConcurrencyLimiter limiter_;

@@ -26,6 +26,24 @@ const char* ServingSourceName(ServingSource source) {
   return "unknown";
 }
 
+namespace {
+
+// Label values of serving_requests_total{outcome, path}; the indices make
+// up VersionedCounter's series keys.
+enum Outcome { kOutcomeOk, kOutcomeShed, kOutcomeError };
+enum Path { kPathMaterialized, kPathOnlineRetrieval, kPathFallback };
+constexpr int kNumOutcomes = 3;
+constexpr int kNumPaths = 3;
+constexpr const char* kOutcomeNames[kNumOutcomes] = {"ok", "shed", "error"};
+constexpr const char* kPathNames[kNumPaths] = {"materialized",
+                                               "online_retrieval", "fallback"};
+// Series keys past the request counters (outcome * kNumPaths + path):
+// serving_fallbacks_total, by the ServingSource that served (its name is
+// the `source` label).
+constexpr int kFallbackSeries = kNumOutcomes * kNumPaths;
+
+}  // namespace
+
 Frontend::Frontend(const ServingReader* store,
                    const core::ScoreCalibrator* calibrator,
                    obs::MetricRegistry* metrics, const Clock* clock,
@@ -119,6 +137,31 @@ int Frontend::NumRetailerStates() const {
   return static_cast<int>(state_.size());
 }
 
+obs::Counter* Frontend::VersionedCounter(int series, int64_t version) const {
+  const std::pair<int64_t, int> key(version, series);
+  {
+    std::shared_lock<std::shared_mutex> lock(versioned_mu_);
+    auto it = versioned_.find(key);
+    if (it != versioned_.end()) return it->second;
+  }
+  const std::string version_label = std::to_string(version);
+  obs::Counter* counter =
+      series < kFallbackSeries
+          ? metrics_->GetCounter(
+                "serving_requests_total",
+                {{"outcome", kOutcomeNames[series / kNumPaths]},
+                 {"path", kPathNames[series % kNumPaths]},
+                 {"version", version_label}})
+          : metrics_->GetCounter(
+                "serving_fallbacks_total",
+                {{"source", ServingSourceName(static_cast<ServingSource>(
+                                series - kFallbackSeries))},
+                 {"version", version_label}});
+  std::unique_lock<std::shared_mutex> lock(versioned_mu_);
+  versioned_.emplace(key, counter);
+  return counter;
+}
+
 StatusOr<RecommendationResponse> Frontend::Handle(
     const RecommendationRequest& request) const {
   SIGCHECK(store_ != nullptr || lookup_ != nullptr);
@@ -141,10 +184,10 @@ StatusOr<RecommendationResponse> Frontend::Handle(
   // Set when the store lookup finished past the request deadline — drives
   // the kDeadlineOverrun verdict even when a fallback then serves.
   bool overran_deadline = false;
-  // Which plane answered: "materialized" (the store), "online_retrieval"
-  // (the ANN index), or "fallback" (any degradation-ladder rung). Labels
-  // serving_requests_total so the A/B arms are separable in RunProfile.
-  const char* serving_path = "materialized";
+  // Which plane answered: the store, the ANN index, or any
+  // degradation-ladder rung. Labels serving_requests_total so the A/B arms
+  // are separable in RunProfile.
+  Path serving_path = kPathMaterialized;
   // Records the request outcome + latency on every return path, and gives
   // the admission slot back with the observed latency so the concurrency
   // limiter learns from every admitted request.
@@ -169,16 +212,12 @@ StatusOr<RecommendationResponse> Frontend::Handle(
     }
     if (metrics_ != nullptr) {
       request_micros_->Observe(static_cast<double>(latency));
-      const char* outcome =
-          result.ok() ? "ok"
+      const Outcome outcome =
+          result.ok() ? kOutcomeOk
           : result.status().code() == StatusCode::kResourceExhausted
-              ? "shed"
-              : "error";
-      metrics_
-          ->GetCounter("serving_requests_total",
-                       {{"outcome", outcome},
-                        {"path", serving_path},
-                        {"version", std::to_string(batch_version)}})
+              ? kOutcomeShed
+              : kOutcomeError;
+      VersionedCounter(outcome * kNumPaths + serving_path, batch_version)
           ->Add(1);
     }
     if (owned_trace.active() && options_.request_tracer != nullptr) {
@@ -293,12 +332,16 @@ StatusOr<RecommendationResponse> Frontend::Handle(
   response.brownout_rung = rung;
   if (rung > 0) {
     if (metrics_ != nullptr) {
-      metrics_
-          ->GetCounter("serving_brownout_total",
-                       {{"rung", std::to_string(rung)}})
+      brownouts_[rung - 1]
+          .Get([&] {
+            return metrics_->GetCounter("serving_brownout_total",
+                                        {{"rung", std::to_string(rung)}});
+          })
           ->Add(1);
     }
-    trace.Annotate("brownout_rung", std::to_string(rung));
+    if (trace.active()) {
+      trace.Annotate("brownout_rung", std::to_string(rung));
+    }
   }
   const int effective_max =
       rung >= 1 ? std::max(1, std::min(request.max_results,
@@ -314,10 +357,12 @@ StatusOr<RecommendationResponse> Frontend::Handle(
                         source != ServingSource::kOnlineRetrieval;
     response.batch_version = batch_version;
     serving_path = source == ServingSource::kOnlineRetrieval
-                       ? "online_retrieval"
-                   : source == ServingSource::kStore ? "materialized"
-                                                     : "fallback";
+                       ? kPathOnlineRetrieval
+                   : source == ServingSource::kStore ? kPathMaterialized
+                                                     : kPathFallback;
     trace.Annotate("source", ServingSourceName(source));
+    response.items.reserve(
+        std::min(list.size(), static_cast<size_t>(effective_max)));
     for (const core::ScoredItem& item : list) {
       if (static_cast<int>(response.items.size()) >= effective_max) {
         break;
@@ -336,12 +381,10 @@ StatusOr<RecommendationResponse> Frontend::Handle(
 
   // Serves the degradation ladder after a store failure (or an open
   // breaker): last-known-good list, then popularity, then the error.
-  auto count_fallback = [&](const char* source) {
+  auto count_fallback = [&](ServingSource source) {
     if (metrics_ != nullptr) {
-      metrics_
-          ->GetCounter("serving_fallbacks_total",
-                       {{"source", source},
-                        {"version", std::to_string(batch_version)}})
+      VersionedCounter(kFallbackSeries + static_cast<int>(source),
+                       batch_version)
           ->Add(1);
     }
   };
@@ -352,12 +395,12 @@ StatusOr<RecommendationResponse> Frontend::Handle(
       // The replayed list belongs to the snapshot it was cached from, not
       // to whatever the store considers active now.
       batch_version = state.last_known_good_version;
-      count_fallback("last_known_good");
+      count_fallback(ServingSource::kLastKnownGood);
       return deliver(state.last_known_good, ServingSource::kLastKnownGood);
     }
     if (state.has_popularity) {
       batch_version = 0;  // the static list belongs to no snapshot
-      count_fallback("popularity");
+      count_fallback(ServingSource::kPopularity);
       return deliver(state.popularity, ServingSource::kPopularity);
     }
     return finish(StatusOr<RecommendationResponse>(error));
@@ -372,7 +415,7 @@ StatusOr<RecommendationResponse> Frontend::Handle(
     RetailerState& state = TouchLocked(request.retailer);
     if (state.has_last_known_good) {
       batch_version = state.last_known_good_version;
-      count_fallback("brownout_last_known_good");
+      count_fallback(ServingSource::kBrownoutLastKnownGood);
       return deliver(state.last_known_good,
                      ServingSource::kBrownoutLastKnownGood);
     }
@@ -422,7 +465,12 @@ StatusOr<RecommendationResponse> Frontend::Handle(
       retrieval_ctx.Annotate("error", result.status().message());
       trace.EndSpan(retrieval_span);
       if (metrics_ != nullptr) {
-        metrics_->GetCounter("serving_retrieval_fallbacks_total")->Add(1);
+        retrieval_fallbacks_
+            .Get([&] {
+              return metrics_->GetCounter(
+                  "serving_retrieval_fallbacks_total");
+            })
+            ->Add(1);
       }
       retrieval_arm = false;  // retries go straight to the store
     }
@@ -456,7 +504,9 @@ StatusOr<RecommendationResponse> Frontend::Handle(
       break;
     }
     if (client_retries_ != nullptr) client_retries_->Add(1);
-    trace.Annotate("retry_attempt", std::to_string(attempt + 1));
+    if (trace.active()) {
+      trace.Annotate("retry_attempt", std::to_string(attempt + 1));
+    }
     list = do_lookup();
   }
 
@@ -473,8 +523,10 @@ StatusOr<RecommendationResponse> Frontend::Handle(
             static_cast<double>(response.overrun_micros));
       }
       overran_deadline = true;
-      trace.Annotate("overrun_micros",
-                     std::to_string(response.overrun_micros));
+      if (trace.active()) {
+        trace.Annotate("overrun_micros",
+                       std::to_string(response.overrun_micros));
+      }
       list = UnavailableError("request deadline exceeded");
     }
   }

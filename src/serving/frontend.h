@@ -5,7 +5,9 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -103,6 +105,13 @@ struct RecommendationResponse {
 // thresholding, answer from last-known-good) before anything sheds.
 // Transient store failures may be retried, but only inside a
 // Finagle-style retry budget so retries can never multiply offered load.
+//
+// Request-path cost (DESIGN.md §5): Handle() never looks a series up in
+// the metrics registry per request. Fixed-label counters are resolved
+// once; the version-labelled serving_requests_total and
+// serving_fallbacks_total go through a per-Frontend map of resolved
+// series, so after warm-up a materialized request allocates only the
+// store's list copy, the replica order and the response items.
 //
 // Thread-safe; the fallback cache and breaker state are internally
 // synchronized, and the per-retailer state map is LRU-bounded by
@@ -238,6 +247,12 @@ class Frontend {
   // LRU-evicts past the cap. Caller holds mu_.
   RetailerState& TouchLocked(data::RetailerId retailer) const;
 
+  // The version-labelled counters, resolved once per (series, version):
+  // `series` is outcome * 3 + path for serving_requests_total, or past
+  // those a fallback ServingSource for serving_fallbacks_total (see
+  // frontend.cc). Only the first use of a key goes to the registry.
+  obs::Counter* VersionedCounter(int series, int64_t version) const;
+
   const ServingReader* store_;
   const core::ScoreCalibrator* calibrator_;
   const Clock* clock_;
@@ -253,7 +268,13 @@ class Frontend {
   obs::Gauge* state_entries_;
   obs::Counter* client_retries_;
   obs::Counter* retry_budget_exhausted_;
+  // Fixed-label series that appear only once something counts them.
+  mutable obs::LazyInstrument<obs::Counter> retrieval_fallbacks_;
+  mutable obs::LazyInstrument<obs::Counter> brownouts_[3];  // by rung - 1
   mutable RetryBudget retry_budget_tokens_;
+
+  mutable std::shared_mutex versioned_mu_;
+  mutable std::map<std::pair<int64_t, int>, obs::Counter*> versioned_;
 
   mutable std::mutex mu_;
   mutable std::map<data::RetailerId, RetailerState> state_;

@@ -90,17 +90,28 @@ StatusOr<std::vector<core::ScoredItem>> ReplicatedStoreGroup::ServeContext(
   if (order.empty()) {
     return UnavailableError("no serving replicas alive");
   }
-  if (order.front() != preferred) {
+  auto count = [&](obs::LazyInstrument<obs::Counter>& counter,
+                   const char* name) {
     if (metrics_ != nullptr) {
-      metrics_->GetCounter("serving_replica_failovers_total")->Add(1);
+      counter.Get([&] { return metrics_->GetCounter(name); })->Add(1);
     }
-    trace.Annotate("replica_failover",
-                   StrFormat("%d->%d", preferred, order.front()));
+  };
+  if (order.front() != preferred) {
+    count(failovers_, "serving_replica_failovers_total");
+    if (trace.active()) {
+      trace.Annotate("replica_failover",
+                     StrFormat("%d->%d", preferred, order.front()));
+    }
   }
-  trace.Annotate("replica", StrFormat("%d", order.front()));
+  if (trace.active()) {
+    trace.Annotate("replica", StrFormat("%d", order.front()));
+  }
   auto observe = [&](int64_t micros) {
     if (metrics_ != nullptr) {
-      metrics_->GetHistogram("serving_replica_read_micros")
+      read_micros_
+          .Get([&] {
+            return metrics_->GetHistogram("serving_replica_read_micros");
+          })
           ->Observe(static_cast<double>(micros));
     }
   };
@@ -110,9 +121,7 @@ StatusOr<std::vector<core::ScoredItem>> ReplicatedStoreGroup::ServeContext(
   bool hedge = options_.hedged_reads && order.size() >= 2;
   if (hedge && hedge_budget_ != nullptr && !hedge_budget_->TryWithdraw()) {
     hedge = false;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("serving_hedges_suppressed_total")->Add(1);
-    }
+    count(hedges_suppressed_, "serving_hedges_suppressed_total");
     trace.Annotate("hedge", "suppressed_budget");
   }
   if (hedge) {
@@ -125,16 +134,14 @@ StatusOr<std::vector<core::ScoredItem>> ReplicatedStoreGroup::ServeContext(
         replicas_[first]->ServeContext(retailer, context);
     StatusOr<std::vector<core::ScoredItem>> b =
         replicas_[second]->ServeContext(retailer, context);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("serving_hedged_reads_total")->Add(1);
+    count(hedged_reads_, "serving_hedged_reads_total");
+    if (trace.active()) {
+      trace.Annotate("hedge", StrFormat("%d+%d", first, second));
     }
-    trace.Annotate("hedge", StrFormat("%d+%d", first, second));
     const bool backup_wins =
         b.ok() && (!a.ok() || ReadMicros(second) < ReadMicros(first));
     if (backup_wins) {
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("serving_hedge_wins_total")->Add(1);
-      }
+      count(hedge_wins_, "serving_hedge_wins_total");
       trace.Annotate("hedge_winner", "backup");
     }
     observe(a.ok() && b.ok()

@@ -150,6 +150,13 @@ class ReplicatedStoreGroup : public ServingReader {
   // Null when hedge_budget_ratio < 0 (unlimited hedging). RetryBudget is
   // internally synchronized, so the const ServeContext path can spend it.
   mutable std::unique_ptr<RetryBudget> hedge_budget_;
+  // Per-read instruments, resolved on first use so the request path never
+  // goes through the registry (unused when metrics_ is null).
+  mutable obs::LazyInstrument<obs::Histogram> read_micros_;
+  mutable obs::LazyInstrument<obs::Counter> failovers_;
+  mutable obs::LazyInstrument<obs::Counter> hedges_suppressed_;
+  mutable obs::LazyInstrument<obs::Counter> hedged_reads_;
+  mutable obs::LazyInstrument<obs::Counter> hedge_wins_;
   std::vector<std::unique_ptr<RecommendationStore>> replicas_;
   std::function<void(data::RetailerId, int)> cutover_hook_;
 

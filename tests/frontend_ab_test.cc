@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "core/ab_experiment.h"
 #include "data/world_generator.h"
 #include "serving/frontend.h"
+#include "serving/replicated_store.h"
 
 namespace sigmund {
 namespace {
@@ -214,6 +221,69 @@ TEST(FrontendTest, FallbacksLabelTheVersionTheyActuallyServe) {
                 "serving_fallbacks_total",
                 {{"source", "popularity"}, {"version", "0"}}),
             1);
+}
+
+TEST(FrontendTest, PerVersionCountsStayExactUnderConcurrentCutovers) {
+  obs::MetricRegistry metrics;
+  serving::ReplicatedStoreGroup::Options group_options;
+  group_options.num_replicas = 2;
+  serving::ReplicatedStoreGroup group(group_options, &metrics);
+  group.LoadRetailer(1, {MakeRecs(0)});
+  serving::Frontend frontend(&group, nullptr, &metrics);
+
+  constexpr int kCallers = 4;
+  constexpr int kRequestsPerCaller = 3000;
+  std::vector<std::map<int64_t, int64_t>> served(kCallers);
+  std::atomic<int> started{0}, done{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      serving::RecommendationRequest request;
+      request.retailer = 1;
+      started.fetch_add(1);
+      for (int i = 0; i < kRequestsPerCaller; ++i) {
+        // Alternate browse, late-funnel browse and cart contexts.
+        request.context = {{0, ActionType::kView}};
+        if (i % 3 == 1) request.context.push_back({0, ActionType::kView});
+        if (i % 3 == 2) request.context.push_back({0, ActionType::kCart});
+        StatusOr<serving::RecommendationResponse> response =
+            frontend.Handle(request);
+        EXPECT_TRUE(response.ok());
+        if (response.ok()) ++served[c][response->batch_version];
+      }
+      done.fetch_add(1);
+    });
+  }
+  // The writer stages and activates new versions while the callers run
+  // (capped, so a slow build cannot pile up unbounded versions).
+  while (started.load() < kCallers) std::this_thread::yield();
+  int64_t reloads = 0;
+  while (done.load() < kCallers && reloads < 300) {
+    group.LoadRetailer(1, {MakeRecs(0)});
+    ++reloads;
+    std::this_thread::yield();
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  std::map<int64_t, int64_t> served_total;
+  for (const auto& per_caller : served) {
+    for (const auto& [version, count] : per_caller) {
+      served_total[version] += count;
+    }
+  }
+  // serving_requests_total summed per version label, over every series.
+  std::map<int64_t, int64_t> counted;
+  for (const obs::MetricSnapshot& metric : metrics.Snapshot().metrics) {
+    if (metric.name != "serving_requests_total") continue;
+    for (const auto& [key, value] : metric.labels) {
+      if (key == "version") counted[std::stoll(value)] += metric.counter;
+    }
+  }
+  EXPECT_EQ(counted, served_total);
+  int64_t responses = 0;
+  for (const auto& [version, count] : served_total) responses += count;
+  EXPECT_EQ(responses, kCallers * kRequestsPerCaller);
+  EXPECT_GT(served_total.size(), 1u);  // the cutovers raced the callers
 }
 
 // --- Frontend degradation ladder ---------------------------------------------

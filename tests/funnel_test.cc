@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "common/random.h"
 #include "core/funnel.h"
 #include "core/inference.h"
 #include "data/world_generator.h"
@@ -62,6 +65,112 @@ TEST(FunnelTest, CategoryFocusRequiresCatalog) {
   Context context = Views({0, 1, 2, 3, 4, 5});
   EXPECT_EQ(ClassifyFunnelStage(context, nullptr, {}), FunnelStage::kEarly);
   EXPECT_EQ(ClassifyFunnelStage(context, &catalog, {}), FunnelStage::kLate);
+}
+
+// The hash-map classifier the window scan replaced, kept verbatim as the
+// oracle for the scan.
+FunnelStage HashMapClassifyFunnelStage(const Context& context,
+                                       const data::Catalog* catalog,
+                                       const FunnelOptions& options) {
+  const int n = static_cast<int>(context.size());
+  const int start = std::max(0, n - options.window);
+
+  std::unordered_map<data::ItemIndex, int> item_views;
+  std::unordered_map<data::CategoryId, int> category_events;
+  for (int j = start; j < n; ++j) {
+    const ContextEntry& entry = context[j];
+    // A cart (or conversion) means the purchase decision is essentially
+    // made: late funnel by definition.
+    if (entry.action == data::ActionType::kCart ||
+        entry.action == data::ActionType::kConversion) {
+      return FunnelStage::kLate;
+    }
+    if (++item_views[entry.item] >= options.min_repeat_views) {
+      return FunnelStage::kLate;
+    }
+    if (catalog != nullptr) {
+      data::CategoryId category = catalog->item(entry.item).category;
+      if (++category_events[category] >= options.min_category_focus) {
+        return FunnelStage::kLate;
+      }
+    }
+  }
+  return FunnelStage::kEarly;
+}
+
+TEST(FunnelTest, WindowScanMatchesHashMapClassifier) {
+  // 16 items over 4 leaf categories, so repeats of both kinds occur.
+  data::Taxonomy taxonomy;
+  std::vector<data::CategoryId> leaves;
+  for (int c = 0; c < 4; ++c) {
+    leaves.push_back(
+        taxonomy.AddCategory("c" + std::to_string(c), taxonomy.root()));
+  }
+  data::Catalog catalog(std::move(taxonomy));
+  for (int i = 0; i < 16; ++i) {
+    catalog.AddItem(data::Item{leaves[(i * 7) % 4], data::kUnknownBrand, 0, 0});
+  }
+  catalog.Finalize();
+
+  auto check = [&](const Context& context, const FunnelOptions& options) {
+    const data::Catalog* catalogs[] = {nullptr, &catalog};
+    for (const data::Catalog* with : catalogs) {
+      ASSERT_EQ(ClassifyFunnelStage(context, with, options),
+                HashMapClassifyFunnelStage(context, with, options))
+          << "length " << context.size() << " window " << options.window
+          << " catalog " << (with != nullptr);
+    }
+  };
+
+  // A cart and a conversion at every position of every length, among
+  // distinct views, for windows shorter and longer than the context.
+  for (int length = 1; length <= 20; ++length) {
+    for (int at = 0; at < length; ++at) {
+      for (data::ActionType action :
+           {data::ActionType::kCart, data::ActionType::kConversion}) {
+        Context context;
+        for (int j = 0; j < length; ++j) {
+          context.push_back({j % 16, j == at ? action : ActionType::kView});
+        }
+        for (int window : {1, 3, 8, 25}) {
+          FunnelOptions options;
+          options.window = window;
+          check(context, options);
+        }
+      }
+    }
+  }
+
+  // Seeded contexts: lengths 0-20 over a small item pool (repeats), mostly
+  // views and searches with occasional carts and conversions, and random
+  // windows and thresholds.
+  Rng rng(0xf0ee1);
+  int late = 0;
+  constexpr int kContexts = 12000;
+  for (int trial = 0; trial < kContexts; ++trial) {
+    Context context;
+    const int length = static_cast<int>(rng.UniformInt(0, 20));
+    const int pool = static_cast<int>(rng.UniformInt(1, 16));
+    for (int j = 0; j < length; ++j) {
+      const int roll = static_cast<int>(rng.Uniform(40));
+      const ActionType action = roll == 0   ? ActionType::kCart
+                                : roll == 1 ? ActionType::kConversion
+                                : roll < 8  ? ActionType::kSearch
+                                            : ActionType::kView;
+      context.push_back(
+          {static_cast<data::ItemIndex>(rng.Uniform(pool)), action});
+    }
+    FunnelOptions options;
+    options.window = static_cast<int>(rng.UniformInt(0, 24));
+    options.min_repeat_views = static_cast<int>(rng.UniformInt(1, 4));
+    options.min_category_focus = static_cast<int>(rng.UniformInt(1, 6));
+    check(context, options);
+    late += ClassifyFunnelStage(context, &catalog, options) ==
+            FunnelStage::kLate;
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(late, kContexts / 10);
+  EXPECT_LT(late, kContexts * 9 / 10);
 }
 
 TEST(FunnelTest, StageNames) {

@@ -128,6 +128,87 @@ TEST(AnnIndexTest, FullProbeMatchesExactSearchExactly) {
   }
 }
 
+// The reference order: a full sort by score descending, then item.
+std::vector<core::ScoredItem> FullSortTopK(std::vector<core::ScoredItem> items,
+                                           int k) {
+  std::sort(items.begin(), items.end(),
+            [](const core::ScoredItem& a, const core::ScoredItem& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.item < b.item;
+            });
+  if (static_cast<int>(items.size()) > k) items.resize(k);
+  return items;
+}
+
+void ExpectSameList(const std::vector<core::ScoredItem>& got,
+                    const std::vector<core::ScoredItem>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].item, want[i].item) << "rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+  }
+}
+
+TEST(AnnIndexTest, TopKMatchesFullSortWithTiedScores) {
+  // 240 items drawn from 40 distinct small-integer vectors: many items
+  // share a vector, so scores tie and only the item order breaks them.
+  constexpr int kDim = 4;
+  constexpr int kItems = 240;
+  for (uint64_t seed : {3u, 17u, 29u}) {
+    Rng rng(seed);
+    std::vector<std::vector<float>> distinct(40, std::vector<float>(kDim));
+    for (std::vector<float>& row : distinct) {
+      for (float& x : row) x = static_cast<float>(rng.UniformInt(-3, 3));
+    }
+    std::vector<float> vectors;
+    for (int i = 0; i < kItems; ++i) {
+      const std::vector<float>& row = distinct[rng.Uniform(distinct.size())];
+      vectors.insert(vectors.end(), row.begin(), row.end());
+    }
+    retrieval::ExactIndex exact(vectors, kDim);
+    retrieval::AnnIndex::Options options;
+    options.num_lists = 8;
+    options.seed = seed;
+    retrieval::AnnIndex ann =
+        retrieval::AnnIndex::Build(vectors, kDim, options);
+    for (int q = 0; q < 25; ++q) {
+      std::vector<float> query(kDim);
+      for (float& x : query) x = static_cast<float>(rng.UniformInt(-2, 2));
+      // Exact: the reference scores every item.
+      std::vector<core::ScoredItem> all;
+      for (int i = 0; i < kItems; ++i) {
+        double score = 0.0;
+        for (int d = 0; d < kDim; ++d) {
+          score += static_cast<double>(query[d]) *
+                   static_cast<double>(vectors[i * kDim + d]);
+        }
+        all.push_back({i, score});
+      }
+      for (int k : {0, 1, 5, 10, 16, kItems, kItems + 7}) {
+        ExpectSameList(exact.Search(query.data(), k, 0, nullptr),
+                       FullSortTopK(all, k));
+      }
+      // ANN: every probed candidate (k past the catalog keeps them all)
+      // is the reference set for each smaller k at the same nprobe.
+      for (int nprobe : {1, 3, ann.num_lists()}) {
+        retrieval::SearchStats stats;
+        const std::vector<core::ScoredItem> candidates =
+            ann.Search(query.data(), kItems + 1, nprobe, &stats);
+        ASSERT_EQ(static_cast<int64_t>(candidates.size()),
+                  stats.candidates_scanned);
+        ExpectSameList(candidates, FullSortTopK(candidates, kItems + 1));
+        if (nprobe == ann.num_lists()) {
+          ExpectSameList(candidates, FullSortTopK(all, kItems));
+        }
+        for (int k : {1, 5, 10, 16}) {
+          ExpectSameList(ann.Search(query.data(), k, nprobe, nullptr),
+                         FullSortTopK(candidates, k));
+        }
+      }
+    }
+  }
+}
+
 TEST(AnnIndexTest, TinyCatalogClampsListsAndStillServes) {
   // 3 items, 16 requested lists: clamps to 3 and answers fine.
   std::vector<float> vectors = {1, 0, 0, 1, 1, 1};
